@@ -1,4 +1,4 @@
-//! Criterion benches for the design ablations (DESIGN.md A1/A3):
+//! Criterion benches for the design ablations A1 and A3:
 //!
 //! * A1 — conservative vs standard rasterization: the cost of the
 //!   exactness machinery (boundary pass + refinement),

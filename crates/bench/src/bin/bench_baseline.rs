@@ -103,10 +103,11 @@ fn main() {
     );
 
     // --- Fused operator chain: draw → blend → mask at 2048². ---
-    // The fused-memory acceptance gate: streaming a 3-op chain through
-    // the multi-stage hand-off must never materialize an intermediate
-    // canvas — peak live tile buffers stay within the policy window
-    // (vs 1024 tiles for a materialized 2048² intermediate).
+    // The fused-memory acceptance gate: streaming a 3-op chain, each
+    // tile run start to finish on one worker, must never materialize
+    // an intermediate canvas — peak live tile buffers stay within the
+    // policy window (vs 1024 tiles for a materialized 2048²
+    // intermediate).
     const CHAIN_RES: u32 = 2048;
     let chain_vp = canvas_raster::Viewport::square_pixels(extent, CHAIN_RES);
     let chain_pts = &points[..500_000.min(points.len())];
@@ -178,7 +179,7 @@ fn main() {
 
     let t0 = Instant::now();
     for _ in 0..DISPATCH_PASSES {
-        // What raster::par did before the executor: fresh scoped OS
+        // What the raster band helpers did before the executor: fresh scoped OS
         // threads per pass, same worker count, same trivial work.
         let counter = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {

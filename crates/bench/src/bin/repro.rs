@@ -1,5 +1,5 @@
 //! `repro` — regenerates every figure of the paper's evaluation
-//! (Section 6) plus the DESIGN.md ablations, printing paper-style tables
+//! (Section 6) plus the design ablations, printing paper-style tables
 //! and writing CSVs under `results/`.
 //!
 //! ```text

@@ -1,7 +1,8 @@
 //! # canvas-bench
 //!
 //! Experiment harness regenerating every figure of the paper's
-//! evaluation (Section 6) plus the ablations listed in DESIGN.md §4.
+//! evaluation (Section 6) plus the design ablations (A2 resolution,
+//! A3 blend plan).
 //!
 //! Each experiment returns structured [`Measurement`]s with **two**
 //! timings per approach:

@@ -256,23 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_device_leases_share_one_pool() {
-        let before = canvas_raster::live_worker_count();
-        {
-            let shared = SharedDevice::cpu_parallel(3);
-            assert_eq!(canvas_raster::live_worker_count(), before + 2);
-            let a = shared.lease();
-            let b = shared.lease();
-            // No additional workers were spawned for the leases.
-            assert_eq!(canvas_raster::live_worker_count(), before + 2);
-            assert!(Arc::ptr_eq(a.pool(), b.pool()));
-            shared.reclaim(a);
-            shared.reclaim(b);
-        }
-        assert_eq!(canvas_raster::live_worker_count(), before);
-    }
-
-    #[test]
     fn shared_run_reclaims_on_panic() {
         let shared = SharedDevice::cpu_parallel(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -8,6 +8,8 @@
 //! (counts, attribute values, distances…). The paper renders this as a
 //! 3×3 matrix; here it is the [`Texel`] type stored in framebuffers.
 
+use canvas_raster::simd::sum_f32;
+
 /// One object-information entry `(v0, v1, v2)`: a record id plus two
 /// real metadata slots (paper Definition 7).
 ///
@@ -194,7 +196,7 @@ impl BlendFn {
                 let mut out = Texel::null();
                 match (a.get(2), b.get(2)) {
                     (Some(x), Some(y)) => {
-                        out.set(2, DimInfo::new(x.id, x.v1 + y.v1, x.v2));
+                        out.set(2, DimInfo::new(x.id, sum_f32(x.v1, y.v1), x.v2));
                     }
                     (Some(x), None) => out.set(2, x),
                     (None, Some(y)) => out.set(2, y),
@@ -206,7 +208,7 @@ impl BlendFn {
                 let mut out = Texel::null();
                 match (a.get(0), b.get(0)) {
                     (Some(x), Some(y)) => {
-                        out.set(0, DimInfo::new(0, x.v1 + y.v1, x.v2 + y.v2));
+                        out.set(0, DimInfo::new(0, sum_f32(x.v1, y.v1), sum_f32(x.v2, y.v2)));
                     }
                     (Some(x), None) => out.set(0, DimInfo::new(0, x.v1, x.v2)),
                     (None, Some(y)) => out.set(0, DimInfo::new(0, y.v1, y.v2)),
@@ -223,7 +225,10 @@ impl BlendFn {
                 let mut out = Texel::null();
                 match (a.get(0), b.get(0)) {
                     (Some(x), Some(y)) => {
-                        out.set(0, DimInfo::new(x.id, x.v1 + y.v1, x.v2 + y.v2));
+                        out.set(
+                            0,
+                            DimInfo::new(x.id, sum_f32(x.v1, y.v1), sum_f32(x.v2, y.v2)),
+                        );
                     }
                     (Some(x), None) => out.set(0, x),
                     (None, Some(y)) => out.set(0, y),

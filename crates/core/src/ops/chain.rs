@@ -6,10 +6,10 @@
 //! index) whose operators are the *coarse* forms of the algebra:
 //! Value Transform `V[f]`, Blend `B[⊙]` against a materialized operand
 //! canvas, and the texel-level Mask `M[M]`. Executed fused
-//! ([`run_points_chain`]), each rendered tile flows through every
-//! operator on the executor's multi-stage streaming hand-off before it
-//! is blitted — the intermediate canvases of the materialized plan are
-//! never allocated.
+//! ([`run_points_chain`]), each rendered tile runs through every
+//! operator on the executor that rendered it before it is blitted —
+//! the intermediate canvases of the materialized plan are never
+//! allocated.
 //!
 //! The fused run is **bit-identical** to the materialized operator
 //! sequence ([`run_points_chain_materialized`]) — texel plane, cover
@@ -36,7 +36,7 @@
 //! canvases a chain exchanges are the **operand** canvases it
 //! materializes anyway (the Blend operands, e.g. the heatmap's `C_Q`
 //! or the choropleth's tagged query region — see
-//! `queries::heatmap::selection_heatmap_via`). Consequently the PR 3
+//! `queries::heatmap::selection_heatmap_via`). Consequently the
 //! streamed ≡ materialized bit-identity contract is untouched by
 //! sharing: the fused tile flow is byte-for-byte the same whether an
 //! operand was rendered locally or served from the exchange.

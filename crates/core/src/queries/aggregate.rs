@@ -300,7 +300,7 @@ pub fn aggregate_join_rasterjoin_pruned(
 /// The same query evaluated literally as the algebra expression — one
 /// blend + mask + scatter chain per polygon canvas. Semantically
 /// identical to [`aggregate_join_rasterjoin`]; kept as the unfused plan
-/// for the plan-comparison ablation (DESIGN.md A3/E6).
+/// for the plan-comparison ablation (A3 in `canvas-bench`).
 pub fn aggregate_join_blend_plan(
     dev: &mut Device,
     vp: Viewport,

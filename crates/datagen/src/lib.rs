@@ -1,8 +1,7 @@
 //! # canvas-datagen
 //!
 //! Seeded synthetic workloads standing in for the paper's evaluation
-//! data (NYC taxi trips + hand-drawn query polygons — see DESIGN.md §2
-//! for the substitution table):
+//! data (NYC taxi trips + hand-drawn query polygons):
 //!
 //! * [`points`] — uniform and Gaussian-hotspot point clouds
 //!   (`taxi_pickups` is the standard benchmark workload),

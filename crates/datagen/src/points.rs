@@ -1,6 +1,6 @@
 //! Synthetic point workloads.
 //!
-//! **Substitution note (DESIGN.md §2).** The paper evaluates on NYC taxi
+//! **Substitution note.** The paper evaluates on NYC taxi
 //! pickup locations restricted to a query MBR. That data is not
 //! available here, so these generators produce seeded synthetic
 //! equivalents: a Gaussian-mixture "hotspot" distribution mimics the

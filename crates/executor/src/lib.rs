@@ -13,7 +13,7 @@
 //! microseconds, measured by `bench_baseline`'s
 //! `pool_dispatch_ns_per_pass` vs `scoped_spawn_ns_per_pass`.
 //!
-//! Four execution shapes, all with the same determinism contract
+//! Three execution shapes, all with the same determinism contract
 //! (outputs merged in item order ⇒ parallel runs are bit-identical to
 //! sequential at any thread count):
 //!
@@ -23,12 +23,9 @@
 //!   in-place passes over planes (Blend, Mask, Value Transform),
 //! * [`WorkerPool::run_streaming`] — bounded-window produce/merge
 //!   pipelining (the streaming tile merge; peak memory capped by
-//!   [`Policy::stream_window`]),
-//! * [`WorkerPool::run_streaming_chain`] — the multi-stage
-//!   generalization: every produced item flows through a sequence of
-//!   per-item transform stages (fused operator chains — a tile rendered
-//!   by one worker can be blended/masked by another while later tiles
-//!   are still rasterizing), still claim-gated and merged in order.
+//!   [`Policy::stream_window`]). Fused operator chains run every
+//!   operator inside `produce`, so a tile is rendered and transformed
+//!   start to finish on one executor before its in-order blit.
 //!
 //! All scheduling tunables live in one [`Policy`] so every operator
 //! shares a single knob set.
@@ -53,7 +50,7 @@ pub use calibrate::{calibrate_min_work, Calibration};
 pub use policy::{Policy, MIN_PARALLEL_ITEMS, PASS_QUANTUM};
 pub use pool::{live_worker_count, WorkerPool};
 pub use schedule::{SchedulerStats, TicketId};
-pub use stream::{ChainStage, StreamReport};
+pub use stream::StreamReport;
 
 #[cfg(test)]
 mod tests {
@@ -145,12 +142,7 @@ mod tests {
             let pool = WorkerPool::with_policy(threads, policy);
             assert_eq!(pool.policy().stream_window(pool.worker_count()), 1);
             let mut merged = Vec::new();
-            let report = pool.run_streaming_chain(
-                64,
-                |i| i + 1,
-                &[&|_i: usize, v: &mut usize| *v *= 2],
-                |i, v| merged.push((i, v)),
-            );
+            let report = pool.run_streaming(64, |i| (i + 1) * 2, |i, v| merged.push((i, v)));
             let want: Vec<(usize, usize)> = (0..64).map(|i| (i, (i + 1) * 2)).collect();
             assert_eq!(merged, want, "at {threads} threads");
             assert_eq!(
@@ -172,7 +164,7 @@ mod tests {
         let window = pool.policy().stream_window(pool.worker_count());
         assert!(window >= 10);
         let mut merged = Vec::new();
-        let report = pool.run_streaming_chain(10, |i| i, &[], |i, v| merged.push((i, v)));
+        let report = pool.run_streaming(10, |i| i, |i, v| merged.push((i, v)));
         assert_eq!(merged, (0..10).map(|i| (i, i)).collect::<Vec<_>>());
         assert!(report.peak_in_flight <= 10);
     }
@@ -183,20 +175,10 @@ mod tests {
         for threads in [1usize, 3] {
             let pool = WorkerPool::new(threads);
             let mut merged = Vec::new();
-            let report = pool.run_streaming_chain(
-                0,
-                |i| i,
-                &[&|_i: usize, v: &mut usize| *v += 1],
-                |i, v| merged.push((i, v)),
-            );
+            let report = pool.run_streaming(0, |i| i + 1, |i, v| merged.push((i, v)));
             assert!(merged.is_empty());
             assert_eq!(report.peak_in_flight, 0);
-            let report = pool.run_streaming_chain(
-                1,
-                |i| i + 7,
-                &[&|_i: usize, v: &mut usize| *v += 1],
-                |i, v| merged.push((i, v)),
-            );
+            let report = pool.run_streaming(1, |i| i + 8, |i, v| merged.push((i, v)));
             assert_eq!(merged, vec![(0, 8)]);
             assert_eq!(report.peak_in_flight, 1);
         }
@@ -204,29 +186,23 @@ mod tests {
 
     #[test]
     fn chain_matches_sequential_composition() {
-        // Multi-stage hand-off: any thread count, any stage depth, the
-        // result equals the inline produce→stages→merge loop.
-        let stage_a = |i: usize, v: &mut u64| *v = *v * 3 + i as u64;
-        let stage_b = |_i: usize, v: &mut u64| *v ^= 0x5DEECE66D;
-        let stage_c = |i: usize, v: &mut u64| *v = v.rotate_left((i % 7) as u32);
-        let stages: Vec<ChainStage<u64>> = vec![&stage_a, &stage_b, &stage_c];
-        let mut want = Vec::new();
-        for i in 0..200usize {
+        // A fused chain composes its operators inside `produce`: any
+        // thread count gives the inline produce→ops→merge loop.
+        let op_a = |i: usize, v: &mut u64| *v = *v * 3 + i as u64;
+        let op_b = |_i: usize, v: &mut u64| *v ^= 0x5DEECE66D;
+        let op_c = |i: usize, v: &mut u64| *v = v.rotate_left((i % 7) as u32);
+        let produce = |i: usize| {
             let mut v = (i as u64).wrapping_mul(0x9E3779B9);
-            for s in &stages {
-                s(i, &mut v);
-            }
-            want.push((i, v));
-        }
+            op_a(i, &mut v);
+            op_b(i, &mut v);
+            op_c(i, &mut v);
+            v
+        };
+        let want: Vec<(usize, u64)> = (0..200).map(|i| (i, produce(i))).collect();
         for threads in [1usize, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
             let mut merged = Vec::new();
-            let report = pool.run_streaming_chain(
-                200,
-                |i| (i as u64).wrapping_mul(0x9E3779B9),
-                &stages,
-                |i, v| merged.push((i, v)),
-            );
+            let report = pool.run_streaming(200, produce, |i, v| merged.push((i, v)));
             assert_eq!(merged, want, "at {threads} threads");
             assert_eq!(report.items, 200);
             let window = pool.policy().stream_window(pool.worker_count());
@@ -242,7 +218,7 @@ mod tests {
     #[test]
     fn chain_bounds_live_items_under_skew() {
         // Claimed-but-unmerged items must respect the claim window even
-        // when stage work piles up behind a slow merge frontier.
+        // when slow per-item operators stall the merge frontier.
         let policy = Policy {
             stream_window_per_worker: 1,
             ..Policy::default()
@@ -251,20 +227,18 @@ mod tests {
         let window = pool.policy().stream_window(pool.worker_count());
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let stage = |_i: usize, _v: &mut usize| {
-            // Let other executors race ahead while an item sits in a
-            // stage, maximizing pressure on the gate.
-            std::thread::yield_now();
-        };
-        let stages: Vec<ChainStage<usize>> = vec![&stage, &stage];
-        let report = pool.run_streaming_chain(
+        let report = pool.run_streaming(
             300,
             |i| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
+                // Let other executors race ahead while this item is
+                // mid-chain, maximizing pressure on the gate.
+                for _ in 0..1 + i % 3 {
+                    std::thread::yield_now();
+                }
                 i
             },
-            &stages,
             |_, _| {
                 live.fetch_sub(1, Ordering::SeqCst);
             },
@@ -278,25 +252,6 @@ mod tests {
         // dominates the produce-side live count.
         assert!(observed <= report.peak_in_flight);
         assert!(report.peak_in_flight <= window);
-    }
-
-    #[test]
-    fn chain_stage_panic_propagates() {
-        let pool = WorkerPool::new(3);
-        let stage = |i: usize, _v: &mut usize| {
-            if i == 17 {
-                panic!("stage boom");
-            }
-        };
-        let stages: Vec<ChainStage<usize>> = vec![&stage];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_streaming_chain(50, |i| i, &stages, |_, _| {});
-        }));
-        assert!(result.is_err());
-        // Pool still healthy afterwards.
-        let mut n = 0;
-        pool.run_streaming(5, |i| i, |_, _| n += 1);
-        assert_eq!(n, 5);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The pool's scheduling policy — every tunable in one place.
 //!
-//! Before the executor existed, each band helper in `raster::par`
-//! carried its own copy of the minimum-work threshold; centralizing the
-//! knobs here means every canvas operator (Blend, Mask, Value
-//! Transform, scatter, the tiled draws) shares one tuning surface.
+//! Before the executor existed, each raster band helper carried its own
+//! copy of the minimum-work threshold; centralizing the knobs here
+//! means every canvas operator (Blend, Mask, Value Transform, scatter,
+//! the tiled draws) shares one tuning surface.
 
 /// Default for [`Policy::min_parallel_items`]. Below this many texels a
 /// full-screen pass runs inline: waking pool workers (a few
@@ -87,17 +87,6 @@ impl Policy {
     pub fn stream_window(&self, workers: usize) -> usize {
         (self.stream_window_per_worker * workers.max(1)).max(1)
     }
-
-    /// Per-stage in-flight window for a fused operator chain
-    /// (`WorkerPool::run_streaming_chain`): the most items any one
-    /// stage hand-off queue may hold. The total claim gate already
-    /// bounds live items to [`stream_window`](Self::stream_window), and
-    /// executors drain deeper stages first, so each stage queue stays
-    /// within the same bound; the chain gate takes this value and
-    /// debug-asserts it at every stage hand-off.
-    pub fn chain_stage_window(&self, workers: usize) -> usize {
-        self.stream_window(workers)
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +100,6 @@ mod tests {
         assert_eq!(p.pass_quantum, PASS_QUANTUM);
         assert_eq!(p.stream_window(4), 8);
         assert_eq!(p.stream_window(0), 2);
-        assert_eq!(p.chain_stage_window(4), p.stream_window(4));
     }
 
     #[test]
@@ -125,6 +113,5 @@ mod tests {
         };
         assert_eq!(p.stream_window(1), 1);
         assert_eq!(p.stream_window(8), 1);
-        assert_eq!(p.chain_stage_window(8), 1);
     }
 }

@@ -1,5 +1,4 @@
-//! Streaming produce/transform/merge passes with bounded in-flight
-//! memory.
+//! Streaming produce/merge passes with bounded in-flight memory.
 //!
 //! The tiled draw paths used to materialize **every** tile buffer
 //! before a sequential blit; at huge resolutions that peaks at the full
@@ -15,27 +14,17 @@
 //! skew (one huge tile stalling the merge frontier while tiny tiles
 //! race ahead) cannot accumulate more than `window` finished items.
 //!
-//! [`WorkerPool::run_streaming_chain`] generalizes the hand-off to a
-//! **multi-stage pipeline**: every claimed item is produced once and
-//! then flows through a caller-supplied sequence of per-item transform
-//! stages before reaching the in-order merge. Each stage hand-off is a
-//! queue any executor may drain, so an item rendered by worker A can be
-//! transformed by worker B while A is already producing the next item —
-//! the cross-operator tile pipelining 3DPipe argues for. Executors pick
-//! work **deepest stage first**, which keeps every stage queue within
-//! the per-stage window ([`Policy::chain_stage_window`](crate::Policy::chain_stage_window)) and drains
-//! items toward the merge frontier before admitting new ones.
+//! A fused operator chain (`draw → [op]*`) runs every operator inside
+//! `produce`: one executor renders a tile and applies the whole chain
+//! to it before publishing, the CPU analogue of one fragment-shader
+//! pass per tile. Every executor shares the same cores, so handing a
+//! tile between threads once per operator would buy no overlap.
 
 use crate::pool::WorkerPool;
 use canvas_obs as obs;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
-
-/// A per-item transform stage of a streaming chain: mutates item `i`'s
-/// value in place. Stages are applied exactly once per item, in chain
-/// order, by whichever executor picks the item up.
-pub type ChainStage<'a, T> = &'a (dyn Fn(usize, &mut T) + Sync);
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Outcome of a streaming pass: how deep the in-flight window actually
 /// got. `peak_in_flight` counts claimed-but-unmerged items (the live
@@ -49,278 +38,179 @@ pub struct StreamReport {
     pub peak_in_flight: usize,
 }
 
-/// A unit of pipeline work an executor can pick up.
-enum Work<T> {
-    /// Produce item `i` (stage 0 of the chain).
-    Produce(usize),
-    /// Run transform stage `stage` on item `i`'s value.
-    Advance { stage: usize, i: usize, value: T },
-}
-
-struct ChainState<T> {
+struct StreamState<T> {
     next_claim: usize,
     merged: usize,
     peak_live: usize,
-    /// `queued[s]` holds items that finished everything before stage
-    /// `s` and await `stages[s]`. Bounded by the claim gate: at most
-    /// `window` items exist past the merge frontier in total, so no
-    /// queue can exceed the per-stage window.
-    queued: Vec<BTreeMap<usize, T>>,
-    /// Items that finished the whole chain, awaiting the in-order merge.
-    final_ready: BTreeMap<usize, T>,
+    /// Produced items awaiting the in-order merge. Bounded by the claim
+    /// gate: at most `window` items exist past the merge frontier.
+    ready: BTreeMap<usize, T>,
     poisoned: bool,
 }
 
-/// Claim-gated multi-stage reorder channel between producers, stage
-/// executors, and the merging caller (see module docs).
-struct ChainGate<T> {
-    state: Mutex<ChainState<T>>,
-    /// Executors wait here for claims or staged work (and for the merge
-    /// frontier to advance, which is what frees new claims).
-    has_work: Condvar,
-    /// The merger waits here for final-stage items.
-    has_final: Condvar,
+/// Claim-gated reorder channel between producers and the merging
+/// caller (see module docs).
+struct StreamGate<T> {
+    state: Mutex<StreamState<T>>,
+    /// Producers wait here for the merge frontier to free a claim.
+    can_claim: Condvar,
+    /// The merger waits here for produced items.
+    has_ready: Condvar,
     n: usize,
-    stages: usize,
     window: usize,
-    /// Per-stage queue bound ([`Policy::chain_stage_window`](crate::Policy::chain_stage_window)): implied
-    /// by the claim gate plus deepest-first draining, debug-asserted at
-    /// every hand-off.
-    stage_window: usize,
 }
 
-impl<T> ChainGate<T> {
-    fn new(n: usize, stages: usize, window: usize, stage_window: usize) -> Self {
-        ChainGate {
-            state: Mutex::new(ChainState {
+/// What the merging caller does next.
+enum Next<T> {
+    /// The next in-order item is ready: merge it.
+    Merge(T),
+    /// The frontier is not ready but the window allows a claim: produce
+    /// item `i` here rather than idle.
+    Produce(usize),
+}
+
+impl<T> StreamGate<T> {
+    fn new(n: usize, window: usize) -> Self {
+        StreamGate {
+            state: Mutex::new(StreamState {
                 next_claim: 0,
                 merged: 0,
                 peak_live: 0,
-                queued: (0..stages).map(|_| BTreeMap::new()).collect(),
-                final_ready: BTreeMap::new(),
+                ready: BTreeMap::new(),
                 poisoned: false,
             }),
-            has_work: Condvar::new(),
-            has_final: Condvar::new(),
+            can_claim: Condvar::new(),
+            has_ready: Condvar::new(),
             n,
-            stages,
             // A window of 0 would deadlock the claim gate (no item
             // could ever be claimed); clamp rather than hang. See
             // `Policy::stream_window`, which applies the same floor.
             window: window.max(1),
-            stage_window: stage_window.max(1),
         }
     }
 
-    /// Picks the next unit of work under the lock: deepest staged item
-    /// first, then a fresh claim if the window allows. Draining deep
-    /// stages before claiming keeps every stage queue within the
-    /// per-stage window and moves items toward the merge frontier.
-    fn try_pick(&self, st: &mut ChainState<T>) -> Option<Work<T>> {
-        for s in (0..self.stages).rev() {
-            if let Some((&i, _)) = st.queued[s].iter().next() {
-                let value = st.queued[s].remove(&i).expect("key just observed");
-                return Some(Work::Advance { stage: s, i, value });
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, StreamState<T>> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Claims the next item if the window allows.
+    fn try_claim(&self, st: &mut StreamState<T>) -> Option<usize> {
         if st.next_claim < self.n && st.next_claim < st.merged + self.window {
             let i = st.next_claim;
             st.next_claim += 1;
             st.peak_live = st.peak_live.max(st.next_claim - st.merged);
-            return Some(Work::Produce(i));
+            return Some(i);
         }
         None
     }
 
-    /// Blocking work pickup for background executors. `None` when the
-    /// pass is finished (everything merged) or poisoned.
-    fn next_work(&self) -> Option<Work<T>> {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Blocking claim for background producers. `None` once every item
+    /// is claimed or the pass is poisoned.
+    fn claim(&self) -> Option<usize> {
+        let mut st = self.lock();
         loop {
-            if st.poisoned || st.merged >= self.n {
+            if st.poisoned || st.next_claim >= self.n {
                 return None;
             }
-            if let Some(w) = self.try_pick(&mut st) {
-                return Some(w);
+            if let Some(i) = self.try_claim(&mut st) {
+                return Some(i);
             }
             st = self
-                .has_work
+                .can_claim
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
-    /// Publishes item `i`'s value for its next pipeline step.
-    /// `next_stage` is the index of the stage the item now needs:
-    /// producers publish with `next_stage = 0`, stage `s` publishes
-    /// with `next_stage = s + 1`, and `next_stage == stages` routes the
-    /// item to the in-order merge.
-    fn publish(&self, i: usize, value: T, next_stage: usize) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if next_stage < self.stages {
-            debug_assert!(
-                st.queued[next_stage].len() < self.stage_window,
-                "stage {next_stage} queue exceeded its window {}",
-                self.stage_window
-            );
-            st.queued[next_stage].insert(i, value);
-            self.has_work.notify_all();
-            // The merger waits on `has_final` but helps with stage work
-            // whenever it wakes — wake it for stage publishes too, or
-            // it would idle while the frontier item sits in a queue.
-            self.has_final.notify_all();
-        } else {
-            st.final_ready.insert(i, value);
-            self.has_final.notify_all();
+    /// Merger side: the frontier item if it is ready, else a fresh
+    /// claim to produce, else waits. `None` when the pass is poisoned.
+    fn next_for_merger(&self) -> Option<Next<T>> {
+        let mut st = self.lock();
+        loop {
+            if st.poisoned {
+                return None;
+            }
+            let frontier = st.merged;
+            if let Some(v) = st.ready.remove(&frontier) {
+                return Some(Next::Merge(v));
+            }
+            if let Some(i) = self.try_claim(&mut st) {
+                return Some(Next::Produce(i));
+            }
+            st = self
+                .has_ready
+                .wait(st)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
-    /// Marks item `i` merged, advancing the frontier and freeing a
-    /// claim slot.
-    fn note_merged(&self) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.merged += 1;
-        // Frees a claim slot, and — on the last item — releases workers
-        // blocked in `next_work`.
-        self.has_work.notify_all();
+    /// Publishes item `i` for the in-order merge.
+    fn publish(&self, i: usize, value: T) {
+        self.lock().ready.insert(i, value);
+        self.has_ready.notify_all();
     }
 
-    /// Aborts the pass: executors stop picking work, the merger stops
+    /// Marks the frontier item merged, freeing a claim slot.
+    fn note_merged(&self) {
+        self.lock().merged += 1;
+        self.can_claim.notify_all();
+    }
+
+    /// Aborts the pass: producers stop claiming, the merger stops
     /// waiting. Used on either-side panic so nobody deadlocks.
     fn poison(&self) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.poisoned = true;
-        self.has_work.notify_all();
-        self.has_final.notify_all();
-    }
-
-    fn peak_live(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .peak_live
+        self.lock().poisoned = true;
+        self.can_claim.notify_all();
+        self.has_ready.notify_all();
     }
 }
 
 impl WorkerPool {
-    /// Streaming pass: background workers run `produce(i)` for
-    /// `i ∈ 0..n` (dynamically claimed) while the calling thread runs
+    /// Streaming pass: executors run `produce(i)` for `i ∈ 0..n`
+    /// (dynamically claimed) while the calling thread runs
     /// `merge(i, item)` **strictly in ascending `i` order** — the same
     /// order, and therefore the same result, as the sequential
-    /// `for i { merge(i, produce(i)) }` loop. At most
-    /// `policy.stream_window(workers)` produced-but-unmerged items are
-    /// in flight, which caps peak memory when items are large (tile
-    /// framebuffers).
+    /// `for i { merge(i, produce(i)) }` loop at any thread count.
+    ///
+    /// The claim gate bounds claimed-but-unmerged items to
+    /// `policy.stream_window(workers)`, which caps peak memory when
+    /// items are large (tile framebuffers); the returned
+    /// [`StreamReport`] carries the observed high-water mark for the
+    /// fused-chain memory gate. The caller produces items itself
+    /// whenever the next in-order item is not ready, so no executor
+    /// idles while the window has room.
     ///
     /// With no background workers the sequential loop runs verbatim —
     /// one item lives at a time, the tightest possible memory bound.
-    pub fn run_streaming<T, F, M>(&self, n: usize, produce: F, merge: M)
+    pub fn run_streaming<T, F, M>(&self, n: usize, produce: F, mut merge: M) -> StreamReport
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
         M: FnMut(usize, T),
     {
-        self.run_streaming_chain(n, produce, &[], merge);
-    }
-
-    /// Multi-stage streaming pass — the generalized claim-gated
-    /// hand-off behind fused operator chains. Every item is produced
-    /// once (`produce(i)`), then flows through each transform in
-    /// `stages` (in order, each applied exactly once, by whichever
-    /// executor picks it up), and finally reaches `merge(i, item)` on
-    /// the calling thread **strictly in ascending `i` order**.
-    ///
-    /// Results are bit-identical to the sequential
-    /// `for i { let mut v = produce(i); for s in stages { s(i, &mut v) }
-    /// merge(i, v) }` loop at any thread count: stages are per-item
-    /// transforms and the merge order is fixed, so scheduling cannot
-    /// change the outcome.
-    ///
-    /// The claim gate bounds claimed-but-unmerged items to
-    /// `policy.stream_window(workers)` — the *total* number of live
-    /// items across all stages — and executors drain deeper stages
-    /// first, so each stage queue stays within
-    /// [`Policy::chain_stage_window`](crate::Policy::chain_stage_window).
-    /// The returned [`StreamReport`] carries the observed high-water
-    /// mark for the fused-chain memory gate.
-    pub fn run_streaming_chain<T, F, M>(
-        &self,
-        n: usize,
-        produce: F,
-        stages: &[ChainStage<'_, T>],
-        mut merge: M,
-    ) -> StreamReport
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        M: FnMut(usize, T),
-    {
-        let mut chain_span = obs::span("stream_chain", "executor");
-        chain_span.arg_u64("items", n as u64);
-        chain_span.arg_u64("stages", stages.len() as u64);
+        let mut stream_span = obs::span("stream_chain", "executor");
+        stream_span.arg_u64("items", n as u64);
+        let produce_traced = |i: usize| {
+            let mut s = obs::span("tile_produce", "executor");
+            s.arg_u64("item", i as u64);
+            produce(i)
+        };
         if self.worker_count() == 0 || n <= 1 {
             for i in 0..n {
-                let mut v = {
-                    let mut s = obs::span("tile_produce", "executor");
-                    s.arg_u64("item", i as u64);
-                    produce(i)
-                };
-                for (si, stage) in stages.iter().enumerate() {
-                    let mut s = obs::span("tile_stage", "executor");
-                    s.arg_u64("item", i as u64);
-                    s.arg_u64("stage", si as u64);
-                    stage(i, &mut v);
-                }
-                merge(i, v);
+                merge(i, produce_traced(i));
             }
             return StreamReport {
                 items: n,
                 peak_in_flight: n.min(1),
             };
         }
-        let gate = ChainGate::new(
-            n,
-            stages.len(),
-            self.policy().stream_window(self.worker_count()),
-            self.policy().chain_stage_window(self.worker_count()),
-        );
-        let run_work = |work: Work<T>| match work {
-            Work::Produce(i) => {
-                let mut s = obs::span("tile_produce", "executor");
-                s.arg_u64("item", i as u64);
-                let v = produce(i);
-                drop(s);
-                gate.publish(i, v, 0);
-            }
-            Work::Advance {
-                stage,
-                i,
-                mut value,
-            } => {
-                let mut s = obs::span("tile_stage", "executor");
-                s.arg_u64("item", i as u64);
-                s.arg_u64("stage", stage as u64);
-                stages[stage](i, &mut value);
-                drop(s);
-                gate.publish(i, value, stage + 1);
-            }
-        };
+        let gate = StreamGate::new(n, self.policy().stream_window(self.worker_count()));
         let executor = || {
-            while let Some(work) = gate.next_work() {
-                match catch_unwind(AssertUnwindSafe(|| run_work(work))) {
-                    Ok(()) => {}
+            while let Some(i) = gate.claim() {
+                match catch_unwind(AssertUnwindSafe(|| produce_traced(i))) {
+                    Ok(v) => gate.publish(i, v),
                     Err(payload) => {
                         gate.poison();
                         resume_unwind(payload);
@@ -328,53 +218,21 @@ impl WorkerPool {
                 }
             }
         };
-        // The caller primarily merges, but picks up produce/stage work
-        // itself whenever the next in-order item is not ready — so all
-        // `threads` executors keep busy when the merge frontier is
-        // ahead, and no work is stranded at small thread counts. The
-        // dispatch is done by hand: publish the executor job to the
+        // The dispatch is done by hand: publish the producer job to the
         // workers, run the merge/help loop here, then quiesce
-        // (poisoning on merge panic so blocked executors always drain).
-        enum Action<T> {
-            /// The next in-order item is ready: merge it.
-            Merge(usize, T),
-            /// The frontier is not ready: help with pipeline work.
-            Help(Work<T>),
-        }
+        // (poisoning on a caller-side panic so blocked producers drain).
         self.run_split_pass(&executor, || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut done = 0;
                 while done < n {
-                    let action = {
-                        let mut st = gate
-                            .state
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        loop {
-                            if st.poisoned {
-                                break None;
-                            }
-                            let next = st.merged;
-                            if let Some(v) = st.final_ready.remove(&next) {
-                                break Some(Action::Merge(next, v));
-                            }
-                            if let Some(w) = gate.try_pick(&mut st) {
-                                break Some(Action::Help(w));
-                            }
-                            st = gate
-                                .has_final
-                                .wait(st)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    };
-                    match action {
-                        None => break, // poisoned: an executor panicked
-                        Some(Action::Merge(i, value)) => {
-                            merge(i, value);
+                    match gate.next_for_merger() {
+                        None => break, // poisoned: a producer panicked
+                        Some(Next::Merge(v)) => {
+                            merge(done, v);
                             done += 1;
                             gate.note_merged();
                         }
-                        Some(Action::Help(work)) => run_work(work),
+                        Some(Next::Produce(i)) => gate.publish(i, produce_traced(i)),
                     }
                 }
             }));
@@ -383,9 +241,10 @@ impl WorkerPool {
             }
             outcome
         });
+        let peak_in_flight = gate.lock().peak_live;
         StreamReport {
             items: n,
-            peak_in_flight: gate.peak_live(),
+            peak_in_flight,
         }
     }
 }

@@ -5,10 +5,10 @@
 //! a time materializes a full intermediate framebuffer between every
 //! operator. An [`OpChain`] instead describes the post-draw operators
 //! of a linear plan as **tile-granular kernels**: the tiled draw
-//! produces one finished tile at a time, and the executor's multi-stage
-//! streaming hand-off (`WorkerPool::run_streaming_chain`) flows each
-//! tile through every downstream operator while later tiles are still
-//! rendering. Intermediate canvases are never materialized — at most
+//! produces one finished tile at a time, and the same executor runs
+//! every downstream operator on that tile inside its streaming `produce`
+//! step (`WorkerPool::run_streaming`) while later tiles are still
+//! rendering — one kernel per tile, like one fragment pass per chain. Intermediate canvases are never materialized — at most
 //! `Policy::stream_window(workers)` tile buffers are live at any
 //! instant, and the blit into the output framebuffer happens exactly
 //! once per tile, after the last operator.

@@ -1,6 +1,6 @@
 //! Device profiles and the GPU cost model.
 //!
-//! **Substitution note (see DESIGN.md §2).** The paper evaluates on two
+//! **Substitution note (see `docs/ARCHITECTURE.md`).** The paper evaluates on two
 //! physical GPUs — a discrete *Nvidia GTX 1070 Max-Q* and an integrated
 //! *Intel UHD Graphics 630* — inside an i7-8750H laptop. This container
 //! has one CPU core and no GPU, so hardware wall-clock cannot reproduce

@@ -20,9 +20,8 @@
 //!   coverage kernels (standard + conservative modes),
 //! * [`pipeline::Pipeline`] — draw calls with programmable fragment
 //!   shading and blending, full-screen passes, scatter passes,
-//! * [`tile`] + [`par`] — the fixed-size tile decomposition and the
-//!   deterministic executor behind the tiled draw paths
-//!   (`draw_points_tiled`, `draw_polygons_tiled`, `draw_polylines_tiled`):
+//! * [`tile`] — the fixed-size tile decomposition behind the tiled draw
+//!   paths (`draw_points_tiled`, `draw_polygons_tiled`, `draw_polylines_tiled`):
 //!   primitives are binned to 64×64 tiles and each tile is rasterized
 //!   independently on a **persistent worker pool** (the
 //!   `canvas-executor` crate — spawned once per `Device`, parked
@@ -32,12 +31,11 @@
 //!   stays capped at huge resolutions,
 //! * [`stats::PipelineStats`] + [`device::DeviceProfile`] — work
 //!   counting and the calibrated cost model that substitutes for the
-//!   paper's two physical GPUs (see DESIGN.md §2 for the substitution
-//!   rationale).
+//!   paper's two physical GPUs (see `docs/ARCHITECTURE.md` for the
+//!   substitution rationale).
 
 pub mod chain;
 pub mod device;
-pub mod par;
 pub mod pipeline;
 pub mod rasterize;
 pub mod simd;
@@ -46,9 +44,11 @@ pub mod texture;
 pub mod tile;
 pub mod viewport;
 
+pub use canvas_executor::{
+    live_worker_count, Calibration, Policy, SchedulerStats, TicketId, WorkerPool,
+};
 pub use chain::{ChainOp, ChainRunReport, MaskOutcome, OpChain};
 pub use device::DeviceProfile;
-pub use par::{live_worker_count, Calibration, Policy, SchedulerStats, TicketId, WorkerPool};
 pub use pipeline::{Frag, PatchReport, Pipeline};
 pub use rasterize::RasterMode;
 pub use simd::{Backend, BlendTag, MaskTag, TexelWords, ValueTag};

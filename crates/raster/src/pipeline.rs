@@ -16,7 +16,6 @@
 //! counted in [`PipelineStats`] for the device cost model.
 
 use crate::chain::{apply_chain_inplace, ChainOp, ChainRunReport, MaskOutcome, OpChain, TileBits};
-use crate::par::WorkerPool;
 use crate::rasterize::{
     rasterize_line_supercover, rasterize_point, rasterize_polygon_fill,
     rasterize_polygon_fill_rect_spans, rasterize_triangle, RasterMode,
@@ -24,8 +23,9 @@ use crate::rasterize::{
 use crate::simd::{self, BlendTag, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
 use crate::texture::{RawTexels, Texture};
-use crate::tile::TileGrid;
+use crate::tile::{TileGrid, TileRect};
 use crate::viewport::Viewport;
+use canvas_executor::WorkerPool;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::polyline::Polyline;
 use canvas_geom::Point;
@@ -44,9 +44,23 @@ fn draw_span(name: &'static str, primitives: usize, chain_ops: usize) -> obs::Sp
     span
 }
 
-/// Boxed chain-stage closure over tile jobs (`run_chain_*` internals):
-/// applies one `OpChain` operator to one in-flight tile.
-type TileStageFn<'c, J> = Box<dyn Fn(usize, &mut J) + Sync + 'c>;
+/// Runs every `chain` operator over one rendered tile, in chain order,
+/// each under its own raster span (`V[f]`, `B[⊙]`, `M[M]`) tagged with
+/// the tile — the fused chain's per-tile kernel (`run_chain_*`).
+fn apply_chain_tile<P: Copy + Default>(
+    chain: &OpChain<'_, P>,
+    t: usize,
+    rect: TileRect,
+    tex: &mut [P],
+    mut cov: Option<&mut [u16]>,
+    bits: &mut [TileBits],
+) {
+    for (s, op) in chain.ops().iter().enumerate() {
+        let mut span = obs::span(op.label(), "raster");
+        span.arg_u64("tile", t as u64);
+        chain.apply_tile(s, rect, tex, cov.as_deref_mut(), bits);
+    }
+}
 
 /// A shaded fragment's rasterizer-provided context.
 #[derive(Clone, Copy, Debug)]
@@ -827,13 +841,12 @@ impl Pipeline {
         } else {
             (0..grid.num_tiles()).collect()
         };
-        // Streaming merge: workers rasterize tiles, flow them through
-        // the chain stages (any executor may advance any finished
-        // tile), and this thread blits them in fixed tile order. Peak
-        // memory holds O(streaming window) tile buffers instead of
-        // every tile at once. SAFETY of the shared view: tile rects are
-        // disjoint, and a tile is written only after its producer and
-        // stage executors finished with it (ordered by the streaming
+        // Streaming merge: each worker rasterizes a tile and runs every
+        // chain operator on it, and this thread blits finished tiles in
+        // fixed tile order. Peak memory holds O(streaming window) tile
+        // buffers instead of every tile at once. SAFETY of the shared
+        // view: tile rects are disjoint, and a tile is written only
+        // after its producer finished with it (ordered by the streaming
         // channel's mutex — see `RawTexels`).
         let shared = RawTexels::new(fb);
         // Only carry (copy in/out) the cover plane when some op can
@@ -856,7 +869,7 @@ impl Pipeline {
             let t = work[wi];
             let rect = grid.rect(t);
             let mut tex = unsafe { shared.read_rect(rect.x0, rect.y0, rect.w, rect.h) };
-            let cov = shared_cover
+            let mut cov = shared_cover
                 .as_ref()
                 .map(|sc| unsafe { sc.read_rect(rect.x0, rect.y0, rect.w, rect.h) });
             let mut fragments = 0u64;
@@ -866,9 +879,10 @@ impl Pipeline {
                 tex[li] = blend(tex[li], src);
                 fragments += 1;
             }
-            let bits = (0..chain.mask_count())
+            let mut bits: Vec<TileBits> = (0..chain.mask_count())
                 .map(|_| TileBits::new(rect.len()))
                 .collect();
+            apply_chain_tile(chain, t, rect, &mut tex, cov.as_deref_mut(), &mut bits);
             PointTileJob {
                 t,
                 tex,
@@ -877,22 +891,9 @@ impl Pipeline {
                 fragments,
             }
         };
-        let stage_fns: Vec<TileStageFn<'_, PointTileJob<P>>> = (0..chain.len())
-            .map(|s| {
-                let op_label = chain.ops()[s].label();
-                Box::new(move |_i: usize, job: &mut PointTileJob<P>| {
-                    let mut span = obs::span(op_label, "raster");
-                    span.arg_u64("tile", job.t as u64);
-                    let rect = grid.rect(job.t);
-                    chain.apply_tile(s, rect, &mut job.tex, job.cov.as_deref_mut(), &mut job.bits);
-                }) as TileStageFn<'_, PointTileJob<P>>
-            })
-            .collect();
-        let stage_refs: Vec<canvas_executor::ChainStage<'_, PointTileJob<P>>> =
-            stage_fns.iter().map(|b| &**b).collect();
         let mut fragments_total = 0u64;
         let mut blits = 0usize;
-        let stream = pool.run_streaming_chain(work.len(), produce, &stage_refs, |_, job| {
+        let stream = pool.run_streaming(work.len(), produce, |_, job| {
             let rect = grid.rect(job.t);
             unsafe { shared.write_rect(rect.x0, rect.y0, rect.w, rect.h, &job.tex) };
             if let (Some(sc), Some(cov)) = (&shared_cover, &job.cov) {
@@ -1337,9 +1338,10 @@ impl Pipeline {
                     },
                 );
             }
-            let bits = (0..chain.mask_count())
+            let mut bits: Vec<TileBits> = (0..chain.mask_count())
                 .map(|_| TileBits::new(rect.len()))
                 .collect();
+            apply_chain_tile(chain, t, rect, &mut tex, Some(&mut cov), &mut bits);
             PolyTileJob {
                 t,
                 tex,
@@ -1350,20 +1352,7 @@ impl Pipeline {
                 boundary_fragments,
             }
         };
-        let stage_fns: Vec<TileStageFn<'_, PolyTileJob<P>>> = (0..chain.len())
-            .map(|s| {
-                let op_label = chain.ops()[s].label();
-                Box::new(move |_i: usize, job: &mut PolyTileJob<P>| {
-                    let mut span = obs::span(op_label, "raster");
-                    span.arg_u64("tile", job.t as u64);
-                    let rect = grid.rect(job.t);
-                    chain.apply_tile(s, rect, &mut job.tex, Some(&mut job.cov), &mut job.bits);
-                }) as TileStageFn<'_, PolyTileJob<P>>
-            })
-            .collect();
-        let stage_refs: Vec<canvas_executor::ChainStage<'_, PolyTileJob<P>>> =
-            stage_fns.iter().map(|b| &**b).collect();
-        let stream = pool.run_streaming_chain(work.len(), produce, &stage_refs, |_, job| {
+        let stream = pool.run_streaming(work.len(), produce, |_, job| {
             let rect = grid.rect(job.t);
             unsafe {
                 shared_fb.write_rect(rect.x0, rect.y0, rect.w, rect.h, &job.tex);
@@ -1838,7 +1827,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::Policy;
+    use canvas_executor::Policy;
     use canvas_geom::BBox;
 
     fn vp10() -> Viewport {

@@ -244,9 +244,25 @@ pub enum MaskTag {
 // Blend kernels
 // ---------------------------------------------------------------------
 
+/// `x + y` with a NaN result canonicalized to `f32::NAN`. The payload
+/// of a NaN sum is unspecified in Rust, and LLVM may commute the
+/// operands (x86 then propagates the other input's payload), so every
+/// accumulate sum — the row kernels' and `BlendFn::apply`'s in the
+/// algebra layer — goes through this one helper to stay bit-identical
+/// across backends, inlining contexts and the closure path.
+#[inline(always)]
+pub fn sum_f32(x: f32, y: f32) -> f32 {
+    let s = x + y;
+    if s.is_nan() {
+        f32::NAN
+    } else {
+        s
+    }
+}
+
 #[inline(always)]
 fn fadd(x: u32, y: u32) -> u32 {
-    (f32::from_bits(x) + f32::from_bits(y)).to_bits()
+    sum_f32(f32::from_bits(x), f32::from_bits(y)).to_bits()
 }
 
 /// Scalar reference blend of one texel pair — a word-level
@@ -560,8 +576,8 @@ unsafe fn stash_sum_inputs(tag: BlendTag, a: *const u32, b: *const u32) -> [u32;
 }
 
 /// Scalar patch for the accumulate sums, identical on every backend —
-/// fixed-order f32 adds keep NaN/−0.0 payloads bit-identical to the
-/// scalar reference. `s` is the pre-store stash from
+/// [`sum_f32`] keeps NaN and −0.0 results bit-identical to the scalar
+/// reference. `s` is the pre-store stash from
 /// [`stash_sum_inputs`].
 #[inline(always)]
 unsafe fn apply_sum_patch(tag: BlendTag, pa: u32, pb: u32, s: [u32; 4], out: *mut u32) {

@@ -19,9 +19,9 @@
 //!   registry, and the Chrome-trace/Perfetto exporter (see
 //!   `docs/OBSERVABILITY.md`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! the substitution table, and `EXPERIMENTS.md` for paper-vs-measured
-//! results.
+//! See `README.md` for a tour, `docs/ARCHITECTURE.md` for the system
+//! inventory and the GPU substitution, and `docs/BENCHMARKS.md` for the
+//! recorded measurements.
 
 pub use canvas_baseline as baseline;
 pub use canvas_core as core;

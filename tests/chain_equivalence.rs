@@ -1,9 +1,10 @@
 //! Streamed ≡ materialized equivalence harness for fused operator
 //! chains.
 //!
-//! The fused-execution contract (PR "Fused streaming operator chains"):
-//! running `render(points) → op₁ → … → opₖ` tile-streamed through the
-//! executor's multi-stage hand-off produces **bit-identical** canvases
+//! The fused-execution contract: running `render(points) → op₁ → … →
+//! opₖ` tile-streamed — each tile rendered and run through every
+//! operator by one executor, then blitted in tile order — produces
+//! **bit-identical** canvases
 //! — texel plane, certain-cover plane, boundary index — *and* identical
 //! pipeline work counters, compared against
 //!
